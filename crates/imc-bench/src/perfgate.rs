@@ -8,7 +8,10 @@
 //!   **always** fails the gate — determinism regressions are never
 //!   tolerable. The same holds for the cluster artifact's
 //!   `seeds_identical` / `evaluations_identical` / `eval_roundtrip`
-//!   flags (on *either* side: a broken committed baseline also fails).
+//!   flags (on *either* side: a broken committed baseline also fails),
+//!   and for a cluster solve spending more than one scatter round per
+//!   ten evaluations (`solve.scatter_rounds × 10 > solve.evaluations`:
+//!   the engine's speculative batching has stopped working).
 //! * `BENCH_service.json` is optional on the candidate side only —
 //!   `--quick` CI runs regenerate just the solver/RIC files, so a
 //!   missing cluster candidate earns a note, never a failure.
@@ -393,9 +396,10 @@ fn gate_ric(gate: &mut Gate, base: &Value, cand: &Value, tolerance: f64) {
     }
 }
 
-/// Validates one side's determinism flags; any `false` (or a missing
-/// flag) is a hard failure — distributed/single-node divergence is
-/// never a tolerable regression.
+/// Validates one side's determinism flags and scatter-round budget; any
+/// `false` flag, a missing field, or more than one scatter round per ten
+/// evaluations is a hard failure — distributed/single-node divergence
+/// and one-RPC-per-evaluation solves are never tolerable regressions.
 fn service_flags(gate: &mut Gate, side: &str, v: &Value) {
     for flag in ["seeds_identical", "evaluations_identical", "eval_roundtrip"] {
         match v.get(flag).and_then(Value::as_bool) {
@@ -406,6 +410,20 @@ fn service_flags(gate: &mut Gate, side: &str, v: &Value) {
             )),
             None => gate.fail(format!("BENCH_service.json: {side} is missing `{flag}`")),
         }
+    }
+    let solve_u64 = |key: &str| v.get("solve").and_then(|s| u64_field(s, key));
+    match (solve_u64("scatter_rounds"), solve_u64("evaluations")) {
+        (Some(rounds), Some(evaluations)) if rounds.saturating_mul(10) > evaluations => {
+            gate.fail(format!(
+                "BENCH_service.json: {side} cluster solve used {rounds} scatter rounds for \
+                 {evaluations} evaluations (more than one per ten) — evaluations are no \
+                 longer batched"
+            ))
+        }
+        (Some(_), Some(_)) => {}
+        _ => gate.fail(format!(
+            "BENCH_service.json: {side} is missing `solve.scatter_rounds` or `solve.evaluations`"
+        )),
     }
 }
 
@@ -462,6 +480,31 @@ fn gate_service(gate: &mut Gate, base: &Value, cand: Option<&Value>, tolerance: 
     match (solve_secs(base), solve_secs(cand)) {
         (Some(b), Some(c)) => gate.compare_seconds("service cluster solve", b, c, tolerance),
         _ => gate.fail("BENCH_service.json: `solve.seconds` missing"),
+    }
+    // The single-node twin and the round count trend beside the solve.
+    let solve_f64 = |v: &Value, key: &str| v.get("solve").and_then(|s| f64_field(s, key));
+    if let (Some(b), Some(c)) = (
+        solve_f64(base, "single_node_seconds"),
+        solve_f64(cand, "single_node_seconds"),
+    ) {
+        gate.info_row(
+            "service single-node solve",
+            format!("{b:.6}s"),
+            format!("{c:.6}s"),
+            Some(c / b.max(f64::MIN_POSITIVE)),
+        );
+    }
+    let solve_u64 = |v: &Value, key: &str| v.get("solve").and_then(|s| u64_field(s, key));
+    if let (Some(b), Some(c)) = (
+        solve_u64(base, "scatter_rounds"),
+        solve_u64(cand, "scatter_rounds"),
+    ) {
+        gate.info_row(
+            "service scatter_rounds",
+            b.to_string(),
+            c.to_string(),
+            Some(c as f64 / b.max(1) as f64),
+        );
     }
     // Load-phase numbers trend but never fail on their own: throughput
     // and tail latency on shared CI machines are too noisy to gate.
@@ -568,6 +611,8 @@ mod tests {
         assert!(outcome.report.contains("verdict: PASS"));
         assert!(outcome.report.contains("solver sequential t1"));
         assert!(outcome.report.contains("ric eval store"));
+        assert!(outcome.report.contains("service scatter_rounds"));
+        assert!(outcome.report.contains("service single-node solve"));
     }
 
     /// Re-emits the committed solver baseline with every strategy's wall
@@ -703,6 +748,34 @@ mod tests {
         assert!(outcome
             .report
             .contains("no longer matches the single-node solver"));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn service_candidate_with_one_round_per_evaluation_fails() {
+        let dir = temp_dir("svc-rounds");
+        stage_candidate(&dir, |s| s);
+        let service = std::fs::read_to_string(repo_root().join("BENCH_service.json")).unwrap();
+        let v = json::parse(&service).unwrap();
+        let solve = v.get("solve").unwrap();
+        let rounds = solve.get("scatter_rounds").unwrap().as_u64().unwrap();
+        let evaluations = solve.get("evaluations").unwrap().as_u64().unwrap();
+        std::fs::write(
+            dir.join("BENCH_service.json"),
+            service.replace(
+                &format!("\"scatter_rounds\":{rounds}"),
+                &format!("\"scatter_rounds\":{evaluations}"),
+            ),
+        )
+        .unwrap();
+        let options = GateOptions {
+            baseline_dir: repo_root(),
+            candidate_dir: dir.clone(),
+            ..GateOptions::default()
+        };
+        let outcome = run(&options).unwrap();
+        assert!(!outcome.passed, "{}", outcome.report);
+        assert!(outcome.report.contains("evaluations are no longer batched"));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -37,8 +37,9 @@ use imc_core::{
 use imc_graph::NodeId;
 use imc_service::client::{ClientConfig, ClusterError, PeerClient, RetryPolicy};
 use imc_service::json::{self, ObjectBuilder, Value};
-use imc_service::protocol::{self, ErrorCode, Request, SolveMode, SolveTuning};
-use imc_service::server::Shutdown;
+use imc_service::protocol::{self, ErrorCode, Request};
+use imc_service::server::{resolve_strategy, Shutdown};
+use imc_service::ServeConfig;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -56,7 +57,7 @@ pub enum CoordError {
     /// over the BT bound, …) — same failures a single node reports.
     Solver(ImcError),
     /// The request asks for something the distributed path does not
-    /// implement (parallel engine strategy, IMCAF, BT depth > 2).
+    /// implement (BT depth > 2).
     Unsupported(String),
 }
 
@@ -397,19 +398,18 @@ fn require_bounded(instance: &ImcInstance, bound: u32) -> Result<(), CoordError>
 ///
 /// The answer — seeds, estimator and evaluation count — is identical to
 /// [`MaxrAlgorithm::solve`] with the same request over the union of the
-/// shard collections. Restrictions of the distributed path:
-///
-/// * `strategy` must be `Sequential` or `Lazy` (the parallel engine
-///   splits per-shard timing, which the scatter layer already does);
-/// * BT runs at depth 2 only (`req.depth` and `Btd(d)` beyond 2 are
-///   rejected as [`CoordError::Unsupported`]).
+/// shard collections, for every [`SolveStrategy`]: the engine's lazy
+/// loop batches its evaluations into scatter rounds, and the thread
+/// count has nothing to fan out here. BT runs at depth 2 only
+/// (`req.depth` and `Btd(d)` beyond 2 are rejected as
+/// [`CoordError::Unsupported`]).
 ///
 /// # Errors
 ///
 /// [`CoordError::Shard`] when a shard dies mid-solve (the error names
 /// it), [`CoordError::Solver`] for the same validation failures a local
-/// solve reports, [`CoordError::Unsupported`] for the restrictions
-/// above.
+/// solve reports, [`CoordError::Unsupported`] for BT depths other
+/// than 2.
 pub fn cluster_solve(
     instance: &ImcInstance,
     peers: &mut [PeerClient],
@@ -417,13 +417,6 @@ pub fn cluster_solve(
     req: &SolveRequest,
 ) -> Result<ClusterReport, CoordError> {
     instance.validate_budget(req.k)?;
-    if let SolveStrategy::Parallel { .. } = req.strategy {
-        return Err(CoordError::Unsupported(
-            "parallel engine strategy is not supported by the cluster coordinator \
-             (shard fan-out already parallelizes; use mode sequential or lazy)"
-                .to_string(),
-        ));
-    }
     match algo {
         MaxrAlgorithm::Greedy => {
             let run = greedy_over_cluster(peers, req.k, req.strategy, Objective::C)?;
@@ -845,22 +838,6 @@ fn elapsed_us(start: Instant) -> u64 {
     u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
 
-/// Resolves the engine strategy for the distributed path: sequential and
-/// lazy map through; anything parallel is rejected (the shard fan-out is
-/// the parallelism here).
-fn cluster_strategy(tuning: &SolveTuning) -> Result<SolveStrategy, String> {
-    if tuning.threads.is_some_and(|t| t > 1) {
-        return Err("`threads` > 1 is not supported by the cluster coordinator".to_string());
-    }
-    match tuning.mode {
-        Some(SolveMode::Sequential) => Ok(SolveStrategy::Sequential),
-        None | Some(SolveMode::Lazy) => Ok(SolveStrategy::Lazy),
-        Some(SolveMode::Parallel) => {
-            Err("mode `parallel` is not supported by the cluster coordinator".to_string())
-        }
-    }
-}
-
 /// Renders the health board as a JSON array of `{addr, state}` objects
 /// in topology order.
 fn shard_states_field(board: &HealthBoard) -> Vec<Value> {
@@ -942,15 +919,9 @@ fn dispatch_request(
             imcaf: None,
             tuning,
         } => {
-            let strategy = match cluster_strategy(&tuning) {
-                Ok(strategy) => strategy,
-                Err(message) => {
-                    return (
-                        protocol::error_response(ErrorCode::InvalidParameter, &message),
-                        false,
-                    )
-                }
-            };
+            // Resolved as a default-configured daemon would, so the echoed
+            // `mode`/`threads` match a single node's answer.
+            let strategy = resolve_strategy(&tuning, ServeConfig::default().max_solve_threads);
             let req = SolveRequest::new(k)
                 .with_seed(seed)
                 .with_depth(tuning.depth.unwrap_or(2))

@@ -126,6 +126,12 @@ pub struct RunnerReport {
     pub solve_seconds: f64,
     /// Evaluations reported by the distributed solve.
     pub solve_evaluations: u64,
+    /// Scatter rounds the distributed solve fanned out to the shards
+    /// (the `imc_cluster_scatter_total` delta across it).
+    pub scatter_rounds: u64,
+    /// Wall seconds of the single-node reference solve of the same plan;
+    /// `0.0` when none ran (a permanent-fault chaos run).
+    pub single_node_seconds: f64,
     /// Open-loop requests completed.
     pub load_requests: usize,
     /// Concurrent load connections.
@@ -176,6 +182,8 @@ impl RunnerReport {
                 ObjectBuilder::new()
                     .field("seconds", self.solve_seconds)
                     .field("evaluations", self.solve_evaluations)
+                    .field("scatter_rounds", self.scatter_rounds)
+                    .field("single_node_seconds", self.single_node_seconds)
                     .build(),
             )
             .field(
@@ -643,6 +651,7 @@ pub fn run(options: &RunnerOptions) -> Result<RunnerReport, RunnerError> {
         let sampler = instance.sampler();
         let mut full = RicStore::for_sampler(&sampler);
         full.extend_parallel_with_workers(&sampler, topo.samples, topo.base_seed, topo.workers);
+        let reference_start = Instant::now();
         let reference = MaxrAlgorithm::Greedy
             .solve(
                 &instance,
@@ -650,6 +659,7 @@ pub fn run(options: &RunnerOptions) -> Result<RunnerReport, RunnerError> {
                 &SolveRequest::new(topo.k as usize).with_seed(topo.base_seed),
             )
             .map_err(|e| RunnerError::new(format!("reference solve failed: {e}")))?;
+        report.single_node_seconds = reference_start.elapsed().as_secs_f64();
         let reference_seeds: Vec<u64> =
             reference.seeds.iter().map(|v| u64::from(v.raw())).collect();
         report.seeds_identical = cluster_seeds == reference_seeds;
@@ -658,11 +668,15 @@ pub fn run(options: &RunnerOptions) -> Result<RunnerReport, RunnerError> {
             chaos.degraded_match = report.seeds_identical;
         }
         log(&format!(
-            "seeds_identical={} evaluations_identical={} ({} vs {} evaluations)",
+            "seeds_identical={} evaluations_identical={} ({} vs {} evaluations, \
+             {} scatter rounds, {:.3}s vs {:.3}s single-node)",
             report.seeds_identical,
             report.evaluations_identical,
             report.solve_evaluations,
-            reference.evaluations
+            reference.evaluations,
+            report.scatter_rounds,
+            report.solve_seconds,
+            report.single_node_seconds
         ));
     }
 
@@ -709,9 +723,11 @@ fn run_chaos(
             .field("mode", "lazy")
             .build(),
     );
+    let rounds_before = obs::scatter_total().get();
     let solve_start = Instant::now();
     let solve = roundtrip(&mut client, &solve_line, "chaos solve")?;
     let solve_seconds = solve_start.elapsed().as_secs_f64();
+    let scatter_rounds = obs::scatter_total().get() - rounds_before;
     drop(client);
     let seeds = seeds_field(&solve, "chaos solve")?;
     let solve_evaluations = solve
@@ -809,6 +825,8 @@ fn run_chaos(
         eval_roundtrip: true,
         solve_seconds,
         solve_evaluations,
+        scatter_rounds,
+        single_node_seconds: 0.0,
         load_requests: 0,
         load_connections: 0,
         throughput_rps: 0.0,
@@ -865,9 +883,11 @@ fn run_against(
             .field("mode", "lazy")
             .build(),
     );
+    let rounds_before = obs::scatter_total().get();
     let solve_start = Instant::now();
     let solve = roundtrip(&mut client, &solve_line, "cluster solve")?;
     let solve_seconds = solve_start.elapsed().as_secs_f64();
+    let scatter_rounds = obs::scatter_total().get() - rounds_before;
     let seeds: Vec<u64> = solve
         .get("seeds")
         .and_then(Value::as_array)
@@ -909,6 +929,9 @@ fn run_against(
         eval_roundtrip: true,
         solve_seconds,
         solve_evaluations,
+        scatter_rounds,
+        // Filled in by `run` with the reference solve.
+        single_node_seconds: 0.0,
         load_requests,
         load_connections: topo.load_connections,
         throughput_rps,

@@ -386,7 +386,8 @@ impl GainSource for ClusterSource<'_> {
         let mut gains = vec![0u64; nodes.len()];
         let mut potentials = vec![0u64; nodes.len()];
         let mut shard_seconds = Vec::with_capacity(self.peers.len());
-        for result in results {
+        // Results are in peer order, so a bad answer names its own shard.
+        for (i, result) in results.into_iter().enumerate() {
             match result {
                 Ok((g, p, secs)) if g.len() == nodes.len() && p.len() == nodes.len() => {
                     for (total, part) in gains.iter_mut().zip(&g) {
@@ -397,11 +398,13 @@ impl GainSource for ClusterSource<'_> {
                     }
                     shard_seconds.push(secs);
                 }
-                Ok(_) => {
+                Ok((g, p, _)) => {
                     self.fail(ClusterError::Protocol {
-                        addr: self.peers[0].addr(),
+                        addr: self.peers[i].addr(),
                         detail: format!(
-                            "eval_batch returned a wrong-length gain vector (expected {})",
+                            "eval_batch returned {} gains and {} potentials for {} nodes",
+                            g.len(),
+                            p.len(),
                             nodes.len()
                         ),
                     });
@@ -577,6 +580,61 @@ pub fn pad_with_appearance(seeds: &mut Vec<imc_graph::NodeId>, k: usize, appeara
 mod tests {
     use super::*;
     use imc_graph::NodeId;
+    use imc_service::client::{ClientConfig, RetryPolicy};
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::{SocketAddr, TcpListener};
+    use std::time::Duration;
+
+    /// A one-connection stub shard over two nodes that answers every
+    /// `eval_batch` with `batch_len` gains and potentials.
+    fn stub_shard(batch_len: usize) -> (SocketAddr, thread::JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let handle = thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut writer = stream.try_clone().unwrap();
+            let zeros = vec!["0"; batch_len].join(",");
+            for line in BufReader::new(stream).lines() {
+                let line = line.unwrap();
+                let reply = if line.contains("eval_begin") {
+                    r#"{"ok":true,"session":1,"generation":0,"samples":5,"appearance":[1,1],"communities":[1]}"#
+                        .to_string()
+                } else if line.contains("eval_batch") {
+                    format!(r#"{{"ok":true,"gains":[{zeros}],"potentials":[{zeros}]}}"#)
+                } else {
+                    r#"{"ok":true}"#.to_string()
+                };
+                writer.write_all(reply.as_bytes()).unwrap();
+                writer.write_all(b"\n").unwrap();
+            }
+        });
+        (addr, handle)
+    }
+
+    #[test]
+    fn wrong_length_answer_names_the_offending_shard() {
+        let (good, good_thread) = stub_shard(2);
+        let (short, short_thread) = stub_shard(1);
+        let config = ClientConfig::uniform(Duration::from_secs(5));
+        let mut peers: Vec<PeerClient> = [good, short]
+            .into_iter()
+            .map(|addr| PeerClient::new(addr, config, RetryPolicy::none()))
+            .collect();
+        let mut source = ClusterSource::open(&mut peers, None).unwrap();
+        let (gains, _) = source.eval_c_batch(&[0, 1]);
+        assert_eq!(
+            gains,
+            vec![(0, 0); 2],
+            "a failed batch answers neutral zeros"
+        );
+        let error = source.take_error().expect("short answer must be an error");
+        assert_eq!(error.addr(), short, "blamed {error}");
+        assert!(matches!(error, ClusterError::Protocol { .. }));
+        drop(source);
+        drop(peers);
+        good_thread.join().unwrap();
+        short_thread.join().unwrap();
+    }
 
     #[test]
     fn pad_with_appearance_matches_pad_to_k_rule() {

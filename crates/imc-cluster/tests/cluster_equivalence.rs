@@ -6,9 +6,13 @@
 //! sampling plan) and the scatter-gather reduction reproduces the
 //! estimator arithmetic exactly (integer sums for ĉ, the carry-chained
 //! fold for ν).
+//!
+//! Every test here takes [`scatter_lock`]: the scatter-round test reads
+//! the process-global `imc_cluster_scatter_total` counter, which any
+//! concurrently running solve would inflate.
 
 use std::net::SocketAddr;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use imc_cluster::{Coordinator, CoordinatorConfig, CoordinatorHandle};
@@ -23,6 +27,14 @@ use imc_service::{ServeConfig, Server, ServerHandle, ServiceState};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// Serializes the tests of this file (see the module docs).
+fn scatter_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    // A failed test poisons the lock; the counter it guards is still
+    // valid for the next test.
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 const ALGOS: [(&str, MaxrAlgorithm); 5] = [
     ("greedy", MaxrAlgorithm::Greedy),
@@ -99,6 +111,10 @@ fn cluster_solve(addr: SocketAddr, algo: &str, k: usize, seed: u64) -> (Vec<Node
         Some(true),
         "solve failed for {algo}: {resp:?}"
     );
+    seeds_and_evaluations(&resp)
+}
+
+fn seeds_and_evaluations(resp: &Value) -> (Vec<NodeId>, u64) {
     let seeds = resp
         .get("seeds")
         .and_then(Value::as_array)
@@ -150,6 +166,7 @@ fn assert_equivalence(
 
 #[test]
 fn all_solvers_bitwise_identical_over_shard_counts() {
+    let _serial = scatter_lock();
     let instance = small_instance(42);
     for shards in [1usize, 2, 4] {
         assert_equivalence(&instance, shards, 256, 77, 5);
@@ -169,6 +186,7 @@ fn fast_retry() -> RetryPolicy {
 
 #[test]
 fn dead_shard_degrades_the_solve_and_names_it() {
+    let _serial = scatter_lock();
     let instance = small_instance(7);
     let (mut handles, coordinator) = spawn_cluster(&instance, 2, 128, 9);
     let dead = handles.pop().unwrap();
@@ -236,6 +254,7 @@ fn dead_shard_degrades_the_solve_and_names_it() {
 
 #[test]
 fn degrade_disabled_keeps_the_shard_unavailable_error() {
+    let _serial = scatter_lock();
     let instance = small_instance(7);
     let sampler = instance.sampler();
     let mut handles = Vec::new();
@@ -305,17 +324,71 @@ proptest! {
         k in 1usize..7,
         shard_choice in 0usize..3,
     ) {
+        let _serial = scatter_lock();
         let shards = [1usize, 2, 4][shard_choice];
         let instance = small_instance(instance_seed);
         assert_equivalence(&instance, shards, 192, base_seed, k);
     }
 }
 
-/// The ISSUE acceptance bar: a 2-shard cluster over the wiki-vote
-/// analog (40k samples) solves GREEDY at k=25 bitwise identically to a
-/// single node, lazily evaluated on both sides.
+/// A `mode: "parallel"` request (which the coordinator once rejected)
+/// answers exactly as a single daemon over the union store does: same
+/// seeds, estimate, evaluation count and echoed `mode`/`threads`.
 #[test]
-fn acceptance_wiki_vote_two_shard_greedy_bitwise() {
+fn parallel_mode_request_answers_like_a_single_node() {
+    let _serial = scatter_lock();
+    let instance = small_instance(42);
+    let (samples, base_seed) = (256, 77);
+    let sampler = instance.sampler();
+    let mut full = RicStore::for_sampler(&sampler);
+    full.extend_parallel_with_workers(&sampler, samples, base_seed, 2);
+    let single = Server::start(
+        Arc::new(ServiceState::new(instance.clone(), full, 0)),
+        ServeConfig {
+            workers: 2,
+            refresh: None,
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    let (handles, coordinator) = spawn_cluster(&instance, 2, samples, base_seed);
+    for algo in ["greedy", "ubg"] {
+        let line = format!(
+            r#"{{"op":"solve","k":5,"algo":"{algo}","seed":3,"mode":"parallel","threads":2}}"#
+        );
+        let answer = |addr: SocketAddr| {
+            let mut client = Client::connect(addr, Duration::from_secs(120)).unwrap();
+            let resp = client.request(&line).unwrap();
+            assert_eq!(
+                resp.get("ok").and_then(Value::as_bool),
+                Some(true),
+                "{algo} parallel solve failed at {addr}: {resp:?}"
+            );
+            resp
+        };
+        let (local, remote) = (answer(single.addr()), answer(coordinator.addr()));
+        assert_eq!(
+            seeds_and_evaluations(&remote),
+            seeds_and_evaluations(&local),
+            "{algo}"
+        );
+        for field in ["estimate", "mode", "threads"] {
+            assert_eq!(remote.get(field), local.get(field), "{algo} `{field}`");
+        }
+        assert_eq!(remote.get("mode").and_then(Value::as_str), Some("parallel"));
+        assert_eq!(remote.get("threads").and_then(Value::as_u64), Some(2));
+    }
+    stop_cluster(handles, coordinator);
+    single.stop_and_join();
+}
+
+/// The acceptance bar: a 2-shard cluster over the wiki-vote analog (40k
+/// samples) solves GREEDY and UBG at k=25 bitwise identically to a
+/// single node, and the lazy loop's speculative batches keep each solve
+/// to at most one scatter round per ten evaluations.
+#[test]
+fn wiki_vote_two_shard_solves_bitwise_in_batched_rounds() {
+    let _serial = scatter_lock();
     let (graph, _source) =
         imc_datasets::load_or_generate(DatasetId::WikiVote, std::path::Path::new("data"), 0.3, 1)
             .unwrap();
@@ -335,14 +408,27 @@ fn acceptance_wiki_vote_two_shard_greedy_bitwise() {
     let sampler = instance.sampler();
     let mut full = RicStore::for_sampler(&sampler);
     full.extend_parallel_with_workers(&sampler, samples, base_seed, 4);
-    let reference = MaxrAlgorithm::Greedy
-        .solve(&instance, &full, &SolveRequest::new(k).with_seed(base_seed))
-        .unwrap();
 
     let (handles, coordinator) = spawn_cluster(&instance, 2, samples, base_seed);
-    let (seeds, evaluations) = cluster_solve(coordinator.addr(), "greedy", k, base_seed);
+    for (name, algo) in [
+        ("greedy", MaxrAlgorithm::Greedy),
+        ("ubg", MaxrAlgorithm::Ubg),
+    ] {
+        let reference = algo
+            .solve(&instance, &full, &SolveRequest::new(k).with_seed(base_seed))
+            .unwrap();
+        let rounds_before = imc_cluster::obs::scatter_total().get();
+        let (seeds, evaluations) = cluster_solve(coordinator.addr(), name, k, base_seed);
+        let rounds = imc_cluster::obs::scatter_total().get() - rounds_before;
+        assert_eq!(seeds, reference.seeds, "{name} seeds diverged");
+        assert_eq!(
+            evaluations, reference.evaluations,
+            "{name} evaluations diverged"
+        );
+        assert!(
+            rounds * 10 <= evaluations,
+            "{name}: {rounds} scatter rounds for {evaluations} evaluations"
+        );
+    }
     stop_cluster(handles, coordinator);
-
-    assert_eq!(seeds, reference.seeds);
-    assert_eq!(evaluations, reference.evaluations);
 }

@@ -1,6 +1,7 @@
-//! The shared solve engine: strategy-aware greedy selection over RIC
-//! samples, combining CELF lazy evaluation with a deterministic scoped
-//! thread pool for parallel marginal-gain evaluation.
+//! The shared solve engine: greedy selection over RIC samples with one
+//! lazy (CELF) loop per objective, evaluating speculative batches
+//! against any [`GainSource`] — a local [`CoverageState`] fanned out on
+//! scoped threads, or a scatter-gather cluster of shard daemons.
 //!
 //! Every strategy returns **bitwise-identical seed sets**:
 //!
@@ -15,12 +16,25 @@
 //!   gain. Both queues break ties toward the smaller [`NodeId`] and a
 //!   round ends only when no queued entry can beat the verified best, so
 //!   the pick equals the sequential argmax every round.
-//! * [`SolveStrategy::Parallel`] evaluates queue batches on scoped worker
-//!   threads. Work is split into fixed-width shards whose boundaries
-//!   depend only on the item count, each shard's results are written back
-//!   in shard order, and the argmax reduction runs over that fixed order
-//!   under a total order on `(gain, node)` — so the outcome is identical
-//!   for *any* thread count, including 1.
+//! * [`SolveStrategy::Parallel`] runs the same lazy loop; its thread
+//!   count only sets how many workers [`LocalSource`] fans each batch
+//!   out to. Shard boundaries depend only on the item count and results
+//!   come back in index order, so the outcome is identical for *any*
+//!   thread count, including 1.
+//!
+//! # Speculative batches
+//!
+//! A one-at-a-time CELF loop issues one source call per evaluation,
+//! which on a cluster is one scatter round per evaluation. The lazy loop
+//! instead pops up to `SPECULATIVE_BATCH` (64) entries that are viable
+//! against the round's best so far and evaluates them in **one**
+//! `eval_*_batch` call. It then replays the results in pop order against
+//! the running best, exactly as a width-1 loop would. At the first entry
+//! that is no longer viable, that entry and the rest of the batch go
+//! back on the queue with their **original** keys, so the queue evolves
+//! as at width 1: seeds and [`GreedyRun::evaluations`] are identical for
+//! every width. Results thrown away at the cut are counted as
+//! `speculative_evaluations` in the telemetry.
 
 use crate::maxr::telemetry::{EngineTelemetry, IterationRecord, MapStats};
 use crate::{CoverageState, RicSamples};
@@ -199,32 +213,13 @@ where
     )
 }
 
-/// Entries popped per evaluation batch: classic one-at-a-time CELF when
-/// single-threaded, a thread-scaled batch when parallel. Evaluating a
-/// slightly larger superset of candidates never changes the argmax.
-fn batch_cap(threads: usize) -> usize {
-    if threads <= 1 {
-        1
-    } else {
-        threads * 64
-    }
-}
-
-/// Within one popped batch, evaluations run in chunks of this many items
-/// per worker thread; after each chunk the round's best-so-far is
-/// re-checked against the cached keys of the still-unevaluated remainder.
-const CHUNK_PER_THREAD: usize = 16;
-
-/// Evaluation chunk width for the best-so-far re-check. Single-threaded
-/// strategies already pop one entry at a time, so chunking is a no-op
-/// there.
-fn eval_chunk(threads: usize) -> usize {
-    if threads <= 1 {
-        1
-    } else {
-        threads * CHUNK_PER_THREAD
-    }
-}
+/// Queue entries the lazy loops pop per source call (see the module
+/// docs). Seeds and evaluation counts do not depend on it; only the
+/// number of source calls and the discarded speculative work do. 64 cuts
+/// a 2-shard cluster solve from one scatter round per evaluation to
+/// about one per 60, at a speculative cost of a few dozen evaluations
+/// per solve (`docs/BENCHMARKS.md`).
+pub(crate) const SPECULATIVE_BATCH: usize = 64;
 
 /// A marginal-gain oracle the greedy loops run against.
 ///
@@ -388,7 +383,9 @@ pub fn greedy_c_over<S: GainSource>(
 ) -> (GreedyRun, EngineTelemetry) {
     match strategy {
         SolveStrategy::Sequential => greedy_c_sequential(source, k),
-        SolveStrategy::Lazy | SolveStrategy::Parallel { .. } => greedy_c_lazy(source, k, strategy),
+        SolveStrategy::Lazy | SolveStrategy::Parallel { .. } => {
+            greedy_c_lazy(source, k, strategy, SPECULATIVE_BATCH)
+        }
     }
 }
 
@@ -430,7 +427,9 @@ pub fn greedy_nu_over<S: GainSource>(
 ) -> (GreedyRun, EngineTelemetry) {
     match strategy {
         SolveStrategy::Sequential => greedy_nu_sequential(source, k),
-        SolveStrategy::Lazy | SolveStrategy::Parallel { .. } => greedy_nu_lazy(source, k, strategy),
+        SolveStrategy::Lazy | SolveStrategy::Parallel { .. } => {
+            greedy_nu_lazy(source, k, strategy, SPECULATIVE_BATCH)
+        }
     }
 }
 
@@ -460,11 +459,7 @@ fn greedy_c_sequential<S: GainSource>(source: &mut S, k: usize) -> (GreedyRun, E
         rec.evaluations += alive.len() as u64;
         let mut best: Option<(usize, u32)> = None;
         for (&v, &(gain, _)) in alive.iter().zip(&gains) {
-            let better = match best {
-                None => gain > 0,
-                Some((bg, bv)) => gain > bg || (gain == bg && gain > 0 && v < bv),
-            };
-            if better {
+            if c_beats(gain, v, best) {
                 best = Some((gain, v));
             }
         }
@@ -517,10 +512,10 @@ fn greedy_c_lazy<S: GainSource>(
     source: &mut S,
     k: usize,
     strategy: SolveStrategy,
+    width: usize,
 ) -> (GreedyRun, EngineTelemetry) {
-    let threads = strategy.threads();
     let wall = Instant::now();
-    let mut telemetry = EngineTelemetry::new("c_hat", strategy.label(), threads);
+    let mut telemetry = EngineTelemetry::new("c_hat", strategy.label(), strategy.threads());
     let k = k.min(source.node_count());
     // Initial potential = appearance count (no sample is influenced yet).
     let mut heap: BinaryHeap<UbEntry> = (0..source.node_count() as u32)
@@ -529,12 +524,10 @@ fn greedy_c_lazy<S: GainSource>(
             (ub > 0).then_some(UbEntry { ub, node: v })
         })
         .collect();
-    let cap = batch_cap(threads);
-    let chunk = eval_chunk(threads);
     let mut seeds = Vec::with_capacity(k);
     let mut evaluations = 0u64;
     let mut round_idx = 0u32;
-    let mut batch: Vec<UbEntry> = Vec::new();
+    let mut batch: Vec<UbEntry> = Vec::with_capacity(width);
     let mut evaluated: Vec<UbEntry> = Vec::new();
     while seeds.len() < k {
         let round_start = Instant::now();
@@ -543,66 +536,41 @@ fn greedy_c_lazy<S: GainSource>(
         evaluated.clear();
         loop {
             batch.clear();
-            while batch.len() < cap {
-                let viable = match (heap.peek(), best) {
-                    (None, _) => false,
-                    (Some(top), None) => top.ub > 0,
-                    (Some(top), Some((bg, bv))) => top.ub > bg || (top.ub == bg && top.node < bv),
-                };
-                if !viable {
-                    break;
-                }
+            while batch.len() < width && heap.peek().is_some_and(|e| c_beats(e.ub, e.node, best)) {
                 batch.push(heap.pop().expect("peeked entry"));
             }
             if batch.is_empty() {
                 break;
             }
+            let ids: Vec<u32> = batch.iter().map(|e| e.node).collect();
+            let (gains, stats) = source.eval_c_batch(&ids);
+            rec.absorb(&stats);
+            telemetry.absorb(stats);
             rec.batches += 1;
-            rec.pops += batch.len() as u64;
-            // Evaluate the batch in chunks; between chunks, entries whose
-            // cached upper bound can no longer beat the updated best go
-            // back to the queue *unevaluated*. Pops arrive in the queue's
-            // total order, so the first non-viable entry marks the cut.
-            let mut idx = 0;
-            while idx < batch.len() {
-                let hi = (idx + chunk).min(batch.len());
-                let ids: Vec<u32> = batch[idx..hi].iter().map(|e| e.node).collect();
-                let (gains, stats) = source.eval_c_batch(&ids);
-                rec.absorb(&stats);
-                telemetry.absorb(stats);
-                evaluations += (hi - idx) as u64;
-                rec.evaluations += (hi - idx) as u64;
-                rec.stale_rechecks += (hi - idx) as u64;
-                for (e, &(gain, potential)) in batch[idx..hi].iter().zip(&gains) {
-                    let better = match best {
-                        None => gain > 0,
-                        Some((bg, bv)) => gain > bg || (gain == bg && gain > 0 && e.node < bv),
-                    };
-                    if better {
-                        best = Some((gain, e.node));
-                    }
-                    evaluated.push(UbEntry {
-                        ub: potential,
-                        node: e.node,
-                    });
+            // Replay in pop order, as a width-1 loop would: the first
+            // entry whose cached potential can no longer beat the best
+            // ends the round.
+            let mut used = 0;
+            for (e, &(gain, potential)) in batch.iter().zip(&gains) {
+                if !c_beats(e.ub, e.node, best) {
+                    break;
                 }
-                idx = hi;
-                if idx < batch.len() {
-                    if let Some((bg, bv)) = best {
-                        let cut = batch[idx..]
-                            .iter()
-                            .position(|e| !(e.ub > bg || (e.ub == bg && e.node < bv)))
-                            .map_or(batch.len(), |p| idx + p);
-                        if cut < batch.len() {
-                            rec.saved_evaluations += (batch.len() - cut) as u64;
-                            for e in batch.drain(cut..) {
-                                heap.push(e);
-                            }
-                        }
-                    }
+                used += 1;
+                if c_beats(gain, e.node, best) {
+                    best = Some((gain, e.node));
                 }
+                evaluated.push(UbEntry {
+                    ub: potential,
+                    node: e.node,
+                });
             }
+            rec.pops += used as u64;
+            rec.evaluations += used as u64;
+            rec.stale_rechecks += used as u64;
+            rec.speculative_evaluations += (batch.len() - used) as u64;
+            heap.extend(batch.drain(used..));
         }
+        evaluations += rec.evaluations;
         match best {
             Some((gain, v)) => {
                 source.add_seed(v);
@@ -629,6 +597,16 @@ fn greedy_c_lazy<S: GainSource>(
     source.pad_seeds(&mut seeds, k);
     telemetry.wall_seconds = wall.elapsed().as_secs_f64();
     (GreedyRun { seeds, evaluations }, telemetry)
+}
+
+/// Whether a ĉ value (a gain, or a potential bounding one) for `node`
+/// beats the round's best so far: strictly larger, or equal with the
+/// smaller id. With no best yet it must be positive.
+fn c_beats(value: usize, node: u32, best: Option<(usize, u32)>) -> bool {
+    match best {
+        None => value > 0,
+        Some((bg, bv)) => value > bg || (value == bg && node < bv),
+    }
 }
 
 /// A gain below this is treated as zero for `ν_R` (matches the historical
@@ -659,12 +637,7 @@ fn greedy_nu_sequential<S: GainSource>(source: &mut S, k: usize) -> (GreedyRun, 
         rec.evaluations += alive.len() as u64;
         let mut best: Option<(f64, u32)> = None;
         for (&v, &gain) in alive.iter().zip(&gains) {
-            // Ascending scan keeps the smallest id on exact ties.
-            let better = match best {
-                None => gain > NU_EPS,
-                Some((bg, _)) => gain.total_cmp(&bg) == Ordering::Greater,
-            };
-            if better {
+            if nu_beats(gain, v, best) {
                 best = Some((gain, v));
             }
         }
@@ -718,16 +691,16 @@ fn greedy_nu_lazy<S: GainSource>(
     source: &mut S,
     k: usize,
     strategy: SolveStrategy,
+    width: usize,
 ) -> (GreedyRun, EngineTelemetry) {
-    let threads = strategy.threads();
     let wall = Instant::now();
-    let mut telemetry = EngineTelemetry::new("nu", strategy.label(), threads);
+    let mut telemetry = EngineTelemetry::new("nu", strategy.label(), strategy.threads());
     let k = k.min(source.node_count());
     let candidates: Vec<u32> = (0..source.node_count() as u32)
         .filter(|&v| source.appearance_count(v) > 0)
         .collect();
     // The initial full gain scan is the single biggest evaluation wave —
-    // fan it out across the workers.
+    // one batch, fanned out across the source's workers.
     let (initial, scan_stats) = source.eval_nu_batch(&candidates);
     telemetry.absorb(scan_stats);
     telemetry.initial_evaluations = candidates.len() as u64;
@@ -741,11 +714,9 @@ fn greedy_nu_lazy<S: GainSource>(
             stamp: 0,
         })
         .collect();
-    let cap = batch_cap(threads);
-    let chunk = eval_chunk(threads);
     let mut seeds = Vec::with_capacity(k);
     let mut round = 0u32;
-    let mut stale: Vec<NuEntry> = Vec::new();
+    let mut batch: Vec<NuEntry> = Vec::with_capacity(width);
     let mut evaluated: Vec<(f64, u32)> = Vec::new();
     while seeds.len() < k {
         let round_start = Instant::now();
@@ -753,101 +724,58 @@ fn greedy_nu_lazy<S: GainSource>(
         let mut best: Option<(f64, u32)> = None;
         evaluated.clear();
         loop {
-            stale.clear();
-            let mut popped_fresh = false;
-            while stale.len() < cap {
-                let viable = match (heap.peek(), best) {
-                    (None, _) => false,
-                    (Some(top), None) => top.gain > NU_EPS,
-                    (Some(top), Some((bg, bv))) => match top.gain.total_cmp(&bg) {
-                        Ordering::Greater => true,
-                        Ordering::Equal => top.node < bv,
-                        Ordering::Less => false,
-                    },
-                };
-                if !viable {
-                    break;
-                }
-                let e = heap.pop().expect("peeked entry");
-                rec.pops += 1;
-                if e.stamp == round {
-                    // Gain is exact under the current seed set: contends
-                    // for the argmax without re-evaluation.
-                    let better = match best {
-                        None => e.gain > NU_EPS,
-                        Some((bg, bv)) => match e.gain.total_cmp(&bg) {
-                            Ordering::Greater => true,
-                            Ordering::Equal => e.node < bv,
-                            Ordering::Less => false,
-                        },
-                    };
-                    if better {
-                        best = Some((e.gain, e.node));
-                    }
-                    evaluated.push((e.gain, e.node));
-                    rec.fresh_hits += 1;
-                    popped_fresh = true;
-                } else {
-                    stale.push(e);
-                }
+            batch.clear();
+            while batch.len() < width && heap.peek().is_some_and(|e| nu_beats(e.gain, e.node, best))
+            {
+                batch.push(heap.pop().expect("peeked entry"));
             }
-            if stale.is_empty() {
-                if popped_fresh {
-                    continue;
-                }
+            if batch.is_empty() {
                 break;
             }
-            rec.batches += 1;
-            // Re-evaluate the stale pops in chunks; between chunks, stale
-            // entries whose cached (upper-bound) gain can no longer beat
-            // the updated best go back to the queue unevaluated. Pops
-            // arrive in the queue's total order, so the first non-viable
-            // entry marks the cut.
-            let mut idx = 0;
-            while idx < stale.len() {
-                let hi = (idx + chunk).min(stale.len());
-                let ids: Vec<u32> = stale[idx..hi].iter().map(|e| e.node).collect();
+            // Entries stamped this round carry exact gains; only the
+            // stale ones go to the source.
+            let ids: Vec<u32> = batch
+                .iter()
+                .filter(|e| e.stamp != round)
+                .map(|e| e.node)
+                .collect();
+            let gains = if ids.is_empty() {
+                Vec::new()
+            } else {
                 let (gains, stats) = source.eval_nu_batch(&ids);
                 rec.absorb(&stats);
                 telemetry.absorb(stats);
-                evaluations += (hi - idx) as u64;
-                rec.evaluations += (hi - idx) as u64;
-                rec.stale_rechecks += (hi - idx) as u64;
-                for (e, &gain) in stale[idx..hi].iter().zip(&gains) {
-                    let better = match best {
-                        None => gain > NU_EPS,
-                        Some((bg, bv)) => match gain.total_cmp(&bg) {
-                            Ordering::Greater => true,
-                            Ordering::Equal => e.node < bv,
-                            Ordering::Less => false,
-                        },
-                    };
-                    if better {
-                        best = Some((gain, e.node));
-                    }
-                    evaluated.push((gain, e.node));
+                rec.batches += 1;
+                gains
+            };
+            // Replay in pop order, as a width-1 loop would: the first
+            // entry whose cached (upper-bound) gain can no longer beat
+            // the best ends the round.
+            let mut stale_gains = gains.iter();
+            let mut used = 0;
+            for e in &batch {
+                if !nu_beats(e.gain, e.node, best) {
+                    break;
                 }
-                idx = hi;
-                if idx < stale.len() {
-                    if let Some((bg, bv)) = best {
-                        let cut = stale[idx..]
-                            .iter()
-                            .position(|e| match e.gain.total_cmp(&bg) {
-                                Ordering::Greater => false,
-                                Ordering::Equal => e.node >= bv,
-                                Ordering::Less => true,
-                            })
-                            .map_or(stale.len(), |p| idx + p);
-                        if cut < stale.len() {
-                            rec.saved_evaluations += (stale.len() - cut) as u64;
-                            for e in stale.drain(cut..) {
-                                heap.push(e);
-                            }
-                        }
-                    }
+                used += 1;
+                let gain = if e.stamp == round {
+                    rec.fresh_hits += 1;
+                    e.gain
+                } else {
+                    rec.evaluations += 1;
+                    rec.stale_rechecks += 1;
+                    *stale_gains.next().expect("one gain per stale entry")
+                };
+                if nu_beats(gain, e.node, best) {
+                    best = Some((gain, e.node));
                 }
+                evaluated.push((gain, e.node));
             }
+            rec.pops += used as u64;
+            rec.speculative_evaluations += stale_gains.len() as u64;
+            heap.extend(batch.drain(used..));
         }
+        evaluations += rec.evaluations;
         match best {
             Some((gain, v)) => {
                 source.add_seed(v);
@@ -879,6 +807,20 @@ fn greedy_nu_lazy<S: GainSource>(
     source.pad_seeds(&mut seeds, k);
     telemetry.wall_seconds = wall.elapsed().as_secs_f64();
     (GreedyRun { seeds, evaluations }, telemetry)
+}
+
+/// Whether a ν value (a gain, or a cached gain bounding one) for `node`
+/// beats the round's best so far under `f64::total_cmp`, ties to the
+/// smaller id. With no best yet it must exceed [`NU_EPS`].
+fn nu_beats(value: f64, node: u32, best: Option<(f64, u32)>) -> bool {
+    match best {
+        None => value > NU_EPS,
+        Some((bg, bv)) => match value.total_cmp(&bg) {
+            Ordering::Greater => true,
+            Ordering::Equal => node < bv,
+            Ordering::Less => false,
+        },
+    }
 }
 
 #[cfg(test)]
@@ -939,40 +881,6 @@ mod tests {
             });
         }
         col
-    }
-
-    #[test]
-    fn all_strategies_agree_on_c_greedy() {
-        for salt in [1u64, 7, 42, 1234] {
-            let col = scrambled_collection(40, 120, salt);
-            for k in [1usize, 3, 7, 40] {
-                let reference = greedy_c_with(&col, k, SolveStrategy::Sequential);
-                for strategy in ALL_STRATEGIES {
-                    let run = greedy_c_with(&col, k, strategy);
-                    assert_eq!(
-                        run.seeds, reference.seeds,
-                        "ĉ diverged for salt={salt} k={k} {strategy:?}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn all_strategies_agree_on_nu_greedy() {
-        for salt in [1u64, 7, 42, 1234] {
-            let col = scrambled_collection(40, 120, salt);
-            for k in [1usize, 3, 7, 40] {
-                let reference = greedy_nu_with(&col, k, SolveStrategy::Sequential);
-                for strategy in ALL_STRATEGIES {
-                    let run = greedy_nu_with(&col, k, strategy);
-                    assert_eq!(
-                        run.seeds, reference.seeds,
-                        "ν diverged for salt={salt} k={k} {strategy:?}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]
@@ -1065,6 +973,7 @@ mod tests {
         let col = scrambled_collection(60, 300, 11);
         let k = 8;
         for strategy in ALL_STRATEGIES {
+            let lazy = strategy != SolveStrategy::Sequential;
             let (run, telemetry) = greedy_nu_with_telemetry(&col, k, strategy);
             assert_eq!(
                 telemetry.evaluations(),
@@ -1077,11 +986,15 @@ mod tests {
             let picked = telemetry.rounds.iter().filter(|r| r.picked).count();
             assert!(picked <= k);
             assert!(telemetry.rounds.len() <= k + 1);
-            // Queue depth at round start can never be below what is left
-            // to pop that round.
+            // Entries a batch returns at the cut are not pops, so a round
+            // never pops more than the queue held at its start, and each
+            // pop is either a fresh hit or one replayed evaluation.
             for rec in &telemetry.rounds {
-                assert!(rec.pops <= rec.queue_depth as u64 + rec.saved_evaluations);
+                assert!(rec.pops <= rec.queue_depth as u64);
                 assert!(rec.wasted_evaluations <= rec.evaluations);
+                if lazy {
+                    assert_eq!(rec.pops, rec.evaluations + rec.fresh_hits);
+                }
             }
             assert!(telemetry.wall_seconds >= 0.0);
 
@@ -1092,7 +1005,11 @@ mod tests {
                 "ĉ telemetry evaluation total diverged for {strategy:?}"
             );
             assert_eq!(c_telemetry.objective, "c_hat");
-            if strategy != SolveStrategy::Sequential {
+            for rec in &c_telemetry.rounds {
+                assert!(rec.pops <= rec.queue_depth as u64);
+                assert_eq!(rec.pops, rec.evaluations);
+            }
+            if lazy {
                 // Every queue-based ĉ evaluation re-checks a bound-only key.
                 assert_eq!(c_telemetry.stale_rechecks(), c_run.evaluations);
             }
@@ -1123,35 +1040,143 @@ mod tests {
         }
     }
 
-    /// The thread-scaling fix: a wide parallel batch must push part of its
-    /// popped entries back unevaluated once the best-so-far proves they
-    /// cannot win — with seeds still bitwise identical to sequential.
+    /// A [`LocalSource`] that counts the nodes and calls it is asked to
+    /// evaluate and records the seeds committed, in pick order.
+    struct Recording<'a> {
+        inner: LocalSource<&'a RicCollection>,
+        sent: u64,
+        calls: u64,
+        picks: Vec<u32>,
+    }
+
+    impl GainSource for Recording<'_> {
+        fn node_count(&self) -> usize {
+            self.inner.node_count()
+        }
+
+        fn appearance_count(&self, v: u32) -> usize {
+            self.inner.appearance_count(v)
+        }
+
+        fn eval_c_batch(&mut self, nodes: &[u32]) -> (Vec<(usize, usize)>, MapStats) {
+            (self.sent, self.calls) = (self.sent + nodes.len() as u64, self.calls + 1);
+            self.inner.eval_c_batch(nodes)
+        }
+
+        fn eval_nu_batch(&mut self, nodes: &[u32]) -> (Vec<f64>, MapStats) {
+            (self.sent, self.calls) = (self.sent + nodes.len() as u64, self.calls + 1);
+            self.inner.eval_nu_batch(nodes)
+        }
+
+        fn add_seed(&mut self, v: u32) {
+            self.picks.push(v);
+            self.inner.add_seed(v);
+        }
+    }
+
+    /// Runs `objective` over a fresh [`Recording`] at an explicit batch
+    /// width (ignored by Sequential).
+    fn recorded(
+        col: &RicCollection,
+        nu: bool,
+        k: usize,
+        strategy: SolveStrategy,
+        width: usize,
+    ) -> (GreedyRun, EngineTelemetry, Recording<'_>) {
+        let mut src = Recording {
+            inner: LocalSource::new(col, strategy.threads()),
+            sent: 0,
+            calls: 0,
+            picks: Vec::new(),
+        };
+        let (run, telemetry) = match (strategy, nu) {
+            (SolveStrategy::Sequential, false) => greedy_c_sequential(&mut src, k),
+            (SolveStrategy::Sequential, true) => greedy_nu_sequential(&mut src, k),
+            (_, false) => greedy_c_lazy(&mut src, k, strategy, width),
+            (_, true) => greedy_nu_lazy(&mut src, k, strategy, width),
+        };
+        (run, telemetry, src)
+    }
+
+    /// What a run did, per round: (pops, evaluations, best gain, picked).
+    fn round_trail(telemetry: &EngineTelemetry) -> Vec<(u64, u64, u64, bool)> {
+        telemetry
+            .rounds
+            .iter()
+            .map(|r| (r.pops, r.evaluations, r.best_gain.to_bits(), r.picked))
+            .collect()
+    }
+
+    /// The batch width changes how many source calls a solve makes and
+    /// nothing else: for every strategy, seeds and every round's pick
+    /// and gain equal Sequential's; evaluation counts and the per-round
+    /// trail equal the width-1 loop's; and every node sent to the source
+    /// is either a replayed evaluation or a counted speculative one.
     #[test]
-    fn chunked_recheck_saves_evaluations_without_changing_seeds() {
+    fn batch_width_never_changes_seeds_evaluations_or_picks() {
+        let mut collections: Vec<RicCollection> = [1u64, 7, 42, 1234]
+            .iter()
+            .map(|&salt| scrambled_collection(40, 120, salt))
+            .collect();
+        collections.push(scrambled_collection(400, 1200, 21));
+        for col in &collections {
+            for (nu, k) in [false, true]
+                .into_iter()
+                .flat_map(|nu| [1, 3, 7, 40].map(|k| (nu, k)))
+            {
+                let (seq, seq_tel, seq_src) = recorded(col, nu, k, SolveStrategy::Sequential, 1);
+                assert_eq!(seq_src.sent, seq.evaluations);
+                let gains = |t: &EngineTelemetry| -> Vec<u64> {
+                    t.rounds.iter().map(|r| r.best_gain.to_bits()).collect()
+                };
+                for strategy in &ALL_STRATEGIES[1..] {
+                    let (narrow, narrow_tel, narrow_src) = recorded(col, nu, k, *strategy, 1);
+                    assert_eq!(narrow_tel.speculative_evaluations(), 0);
+                    for width in [1usize, 2, 3, 64, 256] {
+                        let (run, tel, src) = recorded(col, nu, k, *strategy, width);
+                        let ctx = format!("nu={nu} k={k} {strategy:?} width={width}");
+                        assert_eq!(run.seeds, seq.seeds, "{ctx}");
+                        assert_eq!(src.picks, seq_src.picks, "{ctx}");
+                        assert_eq!(gains(&tel), gains(&seq_tel), "{ctx}");
+                        assert_eq!(run.evaluations, narrow.evaluations, "{ctx}");
+                        assert_eq!(round_trail(&tel), round_trail(&narrow_tel), "{ctx}");
+                        assert_eq!(
+                            run.evaluations + tel.speculative_evaluations(),
+                            src.sent,
+                            "{ctx}: nodes sent to the source unaccounted"
+                        );
+                        assert!(src.calls <= narrow_src.calls, "{ctx}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The speculative cut at the engine's own batch width: entries past
+    /// a round's cut go back to the queue and their discarded results
+    /// are counted, while the seeds stay Sequential's. That evaluations
+    /// and picks match the width-1 loop is checked across widths by
+    /// `batch_width_never_changes_seeds_evaluations_or_picks`.
+    #[test]
+    fn speculative_cut_pushes_back_without_changing_seeds() {
         let col = scrambled_collection(400, 1200, 21);
         let k = 6;
         let reference_nu = greedy_nu_with(&col, k, SolveStrategy::Sequential);
         let reference_c = greedy_c_with(&col, k, SolveStrategy::Sequential);
-        let strategy = SolveStrategy::Parallel { threads: 8 };
-        let (nu_run, nu_telemetry) = greedy_nu_with_telemetry(&col, k, strategy);
-        let (c_run, c_telemetry) = greedy_c_with_telemetry(&col, k, strategy);
-        assert_eq!(nu_run.seeds, reference_nu.seeds);
-        assert_eq!(c_run.seeds, reference_c.seeds);
-        assert!(
-            nu_telemetry.saved_evaluations() > 0,
-            "ν saved no evaluations: {} pops, {} evaluations",
-            nu_telemetry.rounds.iter().map(|r| r.pops).sum::<u64>(),
-            nu_telemetry.evaluations(),
-        );
-        assert!(
-            c_telemetry.saved_evaluations() > 0,
-            "ĉ saved no evaluations: {} pops, {} evaluations",
-            c_telemetry.rounds.iter().map(|r| r.pops).sum::<u64>(),
-            c_telemetry.evaluations(),
-        );
-        // Single-threaded CELF pops one entry at a time — nothing to save.
-        let (_, lazy_telemetry) = greedy_nu_with_telemetry(&col, k, SolveStrategy::Lazy);
-        assert_eq!(lazy_telemetry.saved_evaluations(), 0);
+        for strategy in [SolveStrategy::Lazy, SolveStrategy::Parallel { threads: 8 }] {
+            let (nu_run, nu_telemetry) = greedy_nu_with_telemetry(&col, k, strategy);
+            let (c_run, c_telemetry) = greedy_c_with_telemetry(&col, k, strategy);
+            assert_eq!(nu_run.seeds, reference_nu.seeds);
+            assert_eq!(c_run.seeds, reference_c.seeds);
+            assert!(
+                nu_telemetry.speculative_evaluations() > 0,
+                "ν speculated nothing"
+            );
+            assert!(
+                c_telemetry.speculative_evaluations() > 0,
+                "ĉ speculated nothing"
+            );
+        }
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //!
 //! This is the instrumentation that turned the committed
 //! `BENCH_solver.json` 8-thread regression into a diagnosable number:
-//! `wasted_evaluations` counts batch-popped candidates whose evaluation
-//! bought nothing, `saved_evaluations` counts the ones the chunked
-//! best-so-far re-check pushed back unevaluated (see
+//! `wasted_evaluations` counts evaluations whose result bought nothing
+//! but a comparison; `speculative_evaluations` counts the batch results
+//! the lazy loops threw away at a round's cut (see
 //! `docs/BENCHMARKS.md`).
 
 use std::time::Instant;
@@ -27,8 +27,10 @@ pub struct IterationRecord {
     /// CELF queue depth (or live candidate count for the sequential
     /// strategy) when the round started.
     pub queue_depth: usize,
-    /// Entries taken off the queue this round (every candidate, for the
-    /// sequential strategy).
+    /// Entries taken off the queue and replayed this round (every
+    /// candidate, for the sequential strategy). Entries a speculative
+    /// batch returns to the queue at the round's cut are not counted, so
+    /// this equals a one-at-a-time loop's pops for any batch width.
     pub pops: u64,
     /// ν only: pops whose cached gain was stamped fresh for this round
     /// and contended for the argmax without re-evaluation.
@@ -37,16 +39,16 @@ pub struct IterationRecord {
     /// bound-only key (for `ĉ_R` every evaluation is such a re-check —
     /// its potential key is never an exact gain).
     pub stale_rechecks: u64,
-    /// Marginal-gain evaluations performed this round.
+    /// Marginal-gain evaluations whose result the round replayed.
     pub evaluations: u64,
     /// Evaluations whose result was discarded — everything this round
     /// evaluated except the winning pick.
     pub wasted_evaluations: u64,
-    /// Popped entries pushed back **unevaluated** because the chunked
-    /// best-so-far re-check proved their cached upper bound could no
-    /// longer win the round.
-    pub saved_evaluations: u64,
-    /// Queue batches drained this round.
+    /// Evaluations a speculative batch computed past the round's cut and
+    /// discarded: their entries went back to the queue with their
+    /// original keys. Zero at batch width 1.
+    pub speculative_evaluations: u64,
+    /// Source calls (`eval_*_batch`) issued this round.
     pub batches: u32,
     /// Evaluation shards executed this round (1 per inline map).
     pub shards: u32,
@@ -167,9 +169,11 @@ impl EngineTelemetry {
         self.rounds.iter().map(|r| r.wasted_evaluations).sum()
     }
 
-    /// Total evaluations skipped by the chunked best-so-far re-check.
-    pub fn saved_evaluations(&self) -> u64 {
-        self.rounds.iter().map(|r| r.saved_evaluations).sum()
+    /// Total evaluations discarded past a round's cut. Together with
+    /// [`evaluations`](Self::evaluations) this is every node the run sent
+    /// to its gain source.
+    pub fn speculative_evaluations(&self) -> u64 {
+        self.rounds.iter().map(|r| r.speculative_evaluations).sum()
     }
 
     /// Publishes the run into the `imc_engine_*` metric families and —
@@ -194,7 +198,7 @@ impl EngineTelemetry {
                     .field("stale_rechecks", rec.stale_rechecks)
                     .field("evaluations", rec.evaluations)
                     .field("wasted_evaluations", rec.wasted_evaluations)
-                    .field("saved_evaluations", rec.saved_evaluations)
+                    .field("speculative_evaluations", rec.speculative_evaluations)
                     .field("batches", rec.batches)
                     .field("shards", rec.shards)
                     .field("shard_seconds_sum", rec.shard_seconds_sum)
@@ -235,7 +239,7 @@ impl EngineTelemetry {
                 .field("evaluations", self.evaluations())
                 .field("stale_rechecks", self.stale_rechecks())
                 .field("wasted_evaluations", self.wasted_evaluations())
-                .field("saved_evaluations", self.saved_evaluations())
+                .field("speculative_evaluations", self.speculative_evaluations())
                 .field("shards", self.shard_seconds.len())
                 .field("busy_fraction_min", busy_min)
                 .field("busy_fraction_mean", busy_mean)

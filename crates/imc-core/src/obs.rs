@@ -168,8 +168,8 @@ const ENGINE_COUNTERS: [(&str, &str); 5] = [
         "Evaluations whose result was discarded (everything but the round's pick).",
     ),
     (
-        "imc_engine_saved_evaluations_total",
-        "Popped entries returned to the queue unevaluated by the best-so-far re-check.",
+        "imc_engine_speculative_evaluations_total",
+        "Speculative batch evaluations discarded past a greedy round's cut.",
     ),
 ];
 
@@ -182,7 +182,7 @@ pub(crate) fn record_engine_run(telemetry: &crate::maxr::EngineTelemetry) {
         telemetry.evaluations(),
         telemetry.stale_rechecks(),
         telemetry.wasted_evaluations(),
-        telemetry.saved_evaluations(),
+        telemetry.speculative_evaluations(),
     ];
     for ((name, help), total) in ENGINE_COUNTERS.iter().zip(totals) {
         registry.counter_with(name, help, &labels).inc_by(total);
@@ -337,7 +337,7 @@ mod tests {
             "imc_engine_evaluations_total",
             "imc_engine_stale_rechecks_total",
             "imc_engine_wasted_evaluations_total",
-            "imc_engine_saved_evaluations_total",
+            "imc_engine_speculative_evaluations_total",
             "imc_engine_queue_depth",
             "imc_engine_shard_duration_seconds",
             "imc_engine_thread_busy_fraction",

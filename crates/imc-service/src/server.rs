@@ -484,8 +484,9 @@ fn handle_connection(
 /// Resolves the effective engine strategy for a request under the server
 /// cap. Absent knobs reproduce v1 behaviour (lazy, single-threaded); an
 /// explicit `mode` wins over a bare `threads` count; `"parallel"` with no
-/// `threads` takes the whole cap.
-fn resolve_strategy(tuning: &SolveTuning, cap: usize) -> SolveStrategy {
+/// `threads` takes the whole cap. The cluster coordinator resolves its
+/// requests with the same rule.
+pub fn resolve_strategy(tuning: &SolveTuning, cap: usize) -> SolveStrategy {
     let cap = cap.max(1);
     match tuning.mode {
         Some(SolveMode::Sequential) => SolveStrategy::Sequential,
